@@ -67,9 +67,10 @@ engine behaves exactly as before):
   which never stopped serving.
 
 Determinism contract: top-k ordering is *descending score, ascending
-entity id* (stable sort), the scores returned are the bytes the scoring
-blocks produced, and a cache hit returns the identical immutable result
-object a cold miss computed.
+entity id* — every path selects through the one exact selector
+:func:`~repro.serve.binary.select_topk` — the scores returned are the
+bytes the scoring blocks produced, and a cache hit returns the identical
+immutable result object a cold miss computed.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ import numpy as np
 
 from ..eval.ranking import scatter_known_nan
 from ..training import checkpoint as ckpt
-from .binary import check_geometry
+from .binary import check_geometry, select_topk
 from .cache import LRUCache
 from .resilience import (ResilienceController, ServeFaultPlan, ShedResponse,
                          SidecarCorruptionError, SLOConfig)
@@ -113,29 +114,56 @@ class TopKResult:
         return len(self.entities)
 
 
-def _topk_row(row: np.ndarray, k: int) -> TopKResult:
-    """Top-k of one score row under the tie-break contract.
+def _select(scores: np.ndarray, k: int, columns: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k of every row of one group's (queries x candidates) scores.
 
-    NaN entries (filtered-out candidates) never appear: ``-row`` keeps
-    them NaN and NumPy's stable argsort sinks NaN to the end, so they can
-    only surface once every real candidate is exhausted — which the
-    surviving-candidate cap prevents.
+    Returns ``(entities, scores, valid)`` matrices from the shared exact
+    selector (:func:`~repro.serve.binary.select_topk`); row ``i`` holds
+    its answer in the first ``valid[i]`` columns — NaN (filtered)
+    candidates never count.  ``columns`` maps a binary pool's local
+    columns to entity ids; pools are ascending, so a local tie toward
+    the smaller column is a tie toward the smaller entity id.
     """
-    n_valid = int((~np.isnan(row)).sum())
-    take = min(k, n_valid)
-    order = np.argsort(-row, kind="stable")[:take]
-    return TopKResult(entities=order.astype(np.int64), scores=row[order])
+    order, valid = select_topk(scores, k)
+    rows = np.arange(len(order))[:, None]
+    values = scores[rows, order]
+    if columns is not None:
+        order = columns[rows, order]
+    return order, values, valid
 
 
-def _agreement(entities: np.ndarray, order_row: np.ndarray) -> float:
-    """Recall proxy: fraction of the final top-k the candidate stage alone
-    would have returned (its own best-first ranking truncated to the same
-    length).  1.0 means re-ranking changed nothing; vacuously 1.0 for an
-    empty answer."""
-    kk = len(entities)
-    if kk == 0:
-        return 1.0
-    return len(np.intersect1d(entities, order_row[:kk])) / kk
+def _results(entities: np.ndarray, values: np.ndarray,
+             valid: np.ndarray) -> list[TopKResult]:
+    """One :class:`TopKResult` per row of :func:`_select`'s matrices —
+    copies, so a cached answer does not pin its whole group's arrays."""
+    return [TopKResult(entities=entities[i, :c].copy(),
+                       scores=values[i, :c].copy())
+            for i, c in enumerate(valid.tolist())]
+
+
+def _agreement(entities: np.ndarray, valid: np.ndarray,
+               order: np.ndarray) -> list[float]:
+    """Recall proxy per query: fraction of the final top-k the candidate
+    stage alone would have returned (its own best-first ranking
+    ``order`` truncated to the same length).  1.0 means re-ranking
+    changed nothing; vacuously 1.0 for an empty answer.
+
+    One pass for the whole group: both id lists of a row (each free of
+    repeats) are concatenated with unique negative padding past the
+    answer's length and sorted, so every equal neighbour pair is one id
+    the two share.
+    """
+    width = entities.shape[1]
+    live = np.arange(width) < valid[:, None]
+    pad = -1 - np.arange(2 * width).reshape(2, width)
+    both = np.concatenate([np.where(live, entities, pad[0]),
+                           np.where(live, order[:, :width], pad[1])],
+                          axis=1)
+    both.sort(axis=1)
+    shared = (both[:, 1:] == both[:, :-1]).sum(axis=1)
+    return np.where(valid > 0, shared / np.maximum(valid, 1),
+                    1.0).tolist()
 
 
 class QueryEngine:
@@ -350,8 +378,14 @@ class QueryEngine:
                           tail_side: bool, k: int,
                           filtered: bool) -> list[TopKResult]:
         """One chunked scoring call for every anchor sharing a relation."""
-        model = self.store.model
         rels = np.full(len(anchors), rel, dtype=np.int64)
+        return _results(*_select(
+            self._dense_scores(anchors, rels, tail_side, filtered), k))
+
+    def _dense_scores(self, anchors: np.ndarray, rels: np.ndarray,
+                      tail_side: bool, filtered: bool) -> np.ndarray:
+        """Every entity's full-precision score per query, known facts NaN."""
+        model = self.store.model
         if tail_side:
             scores = model.score_all_tails(anchors, rels,
                                            chunk_entities=self.chunk_entities)
@@ -362,7 +396,7 @@ class QueryEngine:
             scores, _ = scatter_known_nan(scores, self.store.filter_index,
                                           anchors, rels, tail_side=tail_side,
                                           keep=None)
-        return [_topk_row(scores[i], k) for i in range(len(anchors))]
+        return scores
 
     def _group_topk_binary(self, anchors: np.ndarray, rel: int,
                            tail_side: bool, k: int,
@@ -394,32 +428,24 @@ class QueryEngine:
 
         # Stage 2: full-precision re-rank of the pool only.
         t1 = time.perf_counter()
-        take = pools.shape[1]
-        if take >= n:
+        if pools.shape[1] >= n:
             # Complete pool: the dense path *is* the re-rank — same block
-            # calls, same NaN scatter, same tie-breaks, so the result is
+            # calls, same NaN scatter, same selector, so the result is
             # bitwise identical to tier="dense".
-            results = self._group_topk_dense(anchors, rel, tail_side, k,
-                                             filtered)
+            entities, values, valid = _select(
+                self._dense_scores(anchors, rels, tail_side, filtered), k)
         else:
-            scores = self._rerank_pools(anchors, rels, pools, tail_side,
-                                        masked, n)
-            results = []
-            for i in range(m):
-                # Pools are ascending-sorted, so the stable argsort inside
-                # _topk_row breaks score ties toward the smaller entity id
-                # — the dense tier's contract.
-                local = _topk_row(scores[i], k)
-                results.append(TopKResult(
-                    entities=pools[i][local.entities],
-                    scores=local.scores))
+            entities, values, valid = _select(
+                self._rerank_pools(anchors, rels, pools, tail_side, masked,
+                                   n), k, columns=pools)
+        results = _results(entities, values, valid)
         rerank_s = time.perf_counter() - t1
 
         cand_share = candidate_s / m
         rerank_share = rerank_s / m
-        for i, result in enumerate(results):
+        for agreement in _agreement(entities, valid, order):
             self.stats.record_tier("binary", cand_share, rerank_share,
-                                   _agreement(result.entities, order[i]))
+                                   agreement)
         return results
 
     def _rerank_pools(self, anchors, rels, pools, tail_side, masked,
@@ -490,7 +516,7 @@ class QueryEngine:
                 diff_im = im - im[e]
                 sq = sq + np.einsum("ij,ij->i", diff_im, diff_im)
             values = np.sqrt(sq)
-            ranking = values  # ascending
+            scores = -values  # distance: nearest first
         else:
             dots = re @ re[e]
             self_sq = re[e] @ re[e]
@@ -501,15 +527,12 @@ class QueryEngine:
                 norms_sq = norms_sq + np.einsum("ij,ij->i", im, im)
             denom = np.sqrt(norms_sq) * np.sqrt(self_sq)
             values = dots / np.maximum(denom, 1e-12)
-            ranking = -values  # similarity: descending
+            scores = values.copy()  # similarity: descending
         if exclude_self:
-            ranking = ranking.copy()
-            ranking[e] = np.inf
-        order = np.argsort(ranking, kind="stable")
-        take = min(k, len(order) - (1 if exclude_self else 0))
-        order = order[:take]
-        result = TopKResult(entities=order.astype(np.int64),
-                            scores=values[order])
+            scores[e] = np.nan  # filtered: never returned
+        order, valid = select_topk(scores[None, :], k)
+        order = order[0, :valid[0]]
+        result = TopKResult(entities=order, scores=values[order])
         self.cache.put(key, result)
         self.stats.record("nearest", time.perf_counter() - start,
                           cache_hit=False)

@@ -12,9 +12,11 @@ The binary serving tier makes three proof obligations:
   (the per-byte LUT scorer) equals the dense dot with the unpacked sign
   matrix; for ``±1`` queries it collapses to the popcount identity
   ``sign(q) . sign(t) = width - 2 * hamming`` exactly.
-* **Selection determinism** — candidate selection orders by descending
-  approximate score with exact float ties (``-0.0 == +0.0`` included)
-  broken toward the smaller entity id; ``rerank_k >= n_entities`` yields
+* **Selection determinism** — the one exact selector every serve path
+  uses orders by descending score with exact float ties (``-0.0 ==
+  +0.0`` included) broken toward the smaller entity id and never returns
+  NaN (filtered) — it is the stable argsort of the negated row,
+  truncated to the real scores; ``rerank_k >= n_entities`` yields
   the complete id set and the engine's binary tier then answers bitwise
   identically to the dense tier, for every model, both directions,
   filtered and not.
@@ -29,7 +31,8 @@ from repro.compress.quantization import SparseRows, dequantize, quantize_1bit
 from repro.kg.datasets import generate_latent_kg
 from repro.models import MODEL_REGISTRY, make_model
 from repro.serve import EmbeddingStore, QueryEngine
-from repro.serve.binary import BinaryStore, _selection_keys, binarize_model
+from repro.serve.binary import (BinaryStore, _selection_keys, binarize_model,
+                                select_topk)
 
 MODEL_NAMES = sorted(MODEL_REGISTRY)
 
@@ -153,6 +156,33 @@ score_rows = st.lists(
     min_size=1, max_size=4)
 
 
+@st.composite
+def adversarial_matrix(draw):
+    """float32 score matrices (0, 1 or many rows) built from exact ties,
+    signed zeros, infinities and NaN, with whole-NaN rows mixed in."""
+    width = draw(st.integers(1, 30))
+    cell = st.one_of(finite32, st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]))
+    row = st.one_of(st.lists(cell, min_size=width, max_size=width),
+                    st.just([float("nan")] * width))
+    rows = draw(st.lists(row, min_size=0, max_size=6))
+    return np.array(rows, dtype=np.float32).reshape(len(rows), width)
+
+
+def _assert_stable_topk(scores, k):
+    order, valid = select_topk(scores, k)
+    assert order.shape == (len(scores), min(k, scores.shape[1]))
+    assert order.dtype == valid.dtype == np.int64
+    for i, row in enumerate(scores):
+        n_valid = int((~np.isnan(row)).sum())
+        expect = np.argsort(-row, kind="stable")[:min(k, n_valid)]
+        got = order[i, :valid[i]]
+        assert np.array_equal(got, expect)
+        assert row[got].tobytes() == row[expect].tobytes()
+        # Only filtered candidates sit past the answer.
+        assert np.isnan(row[order[i, valid[i]:]]).all()
+
+
 class TestSelection:
     @given(score_rows)
     @settings(max_examples=80, deadline=None)
@@ -166,6 +196,45 @@ class TestSelection:
         got = np.argsort(_selection_keys(scores), axis=1)
         expect = np.argsort(-scores, axis=1, kind="stable")
         assert np.array_equal(got, expect)
+
+    @given(adversarial_matrix(), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_select_topk_is_the_truncated_stable_sort(self, scores, k):
+        """Every serve path's selector against the contract it replaced:
+        ``np.argsort(-row, kind="stable")[:min(k, n_valid)]`` — same
+        entities and same score bytes on exact ties, signed zeros,
+        infinities, NaN-filtered cells, all-NaN rows, ``n_valid < k``,
+        ``k = 0`` and ``k >= n``, for 0, 1 and many rows."""
+        _assert_stable_topk(scores, k)
+
+    def test_select_topk_across_row_blocks(self):
+        """Wide matrices are selected a block of rows at a time; the
+        answer must not depend on where the block boundaries fall."""
+        rng = np.random.default_rng(7)
+        scores = rng.integers(-3, 4, size=(7, 50_000)).astype(np.float32)
+        scores[rng.random(scores.shape) < 0.3] = np.nan
+        scores[2] = np.nan
+        scores[4, ::2] = -0.0
+        for k in (1, 10, 1000):
+            _assert_stable_topk(scores, k)
+
+    def test_nan_stage1_score_sinks_below_every_real_one(self):
+        """A NaN approximate score (here a NaN scale on entity 1) ranks
+        after ``-inf`` in the candidate pool, as NaN does in the dense
+        tier — it used to map above ``+inf`` and head the pool."""
+        codes = np.full((4, 1), 0xFF, dtype=np.uint8)
+        scales = np.array([1.0, np.nan, 0.5, 0.25], dtype=np.float32)
+        store = BinaryStore(codes=codes, scales=scales, width=8)
+        queries = np.ones((2, 8), dtype=np.float32)
+        # Query 1 knows entity 0: sunk to -inf, still above the NaN.
+        known = (np.array([1]), np.array([0]))
+        for geometry in ("dot", "distance"):
+            pools, _ = store.candidate_pools(queries, 2, masked=known,
+                                             geometry=geometry)
+            assert pools.tolist() == [[0, 2], [2, 3]]
+            _, order = store.candidate_pools(queries, 4, masked=known,
+                                             geometry=geometry)
+            assert order.tolist() == [[0, 2, 3, 1], [2, 3, 0, 1]]
 
     @given(entity_matrix(), st.integers(1, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
