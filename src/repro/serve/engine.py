@@ -44,10 +44,10 @@ Two serving mechanisms sit on top of raw scoring:
 * an exact-LRU result cache keyed on every input that shapes the answer
   ``(direction, anchor, relation, k, filtered)`` — skewed traffic makes
   even a small cache absorb most of the load;
-* per-``(relation, direction)`` micro-batching: :meth:`topk_batch`
-  coalesces the cache-missing queries that share a relation and direction
-  into **one** chunked scoring call, deduplicating repeated anchors, so a
-  burst of queries against a hot relation costs one matrix pass.
+* per-``(direction, route)`` micro-batching: :meth:`topk_batch` scores
+  a batch's cache misses in **one** chunked block call per direction and
+  route over their unique ``(anchor, relation)`` pairs — every scorer
+  takes a per-row relation, so a batch over many relations is one pass.
 
 Two resilience mechanisms sit on top of those (both opt-in; a plain
 engine behaves exactly as before):
@@ -197,8 +197,7 @@ class QueryEngine:
         # Cached results never cross tiers: a binary-tier answer at small
         # rerank_k is not the dense answer, so the key says which path —
         # and at which pool size — produced it.
-        self._tier_key = ("dense" if tier == "dense"
-                          else ("binary", self.rerank_k))
+        self._tier_key = self._key_for(tier)
         # Resilience is opt-in: a fault plan or SLO implies it, or pass
         # resilience=True for ladder-only (null-plan) admission control.
         enabled = resilience if resilience is not None \
@@ -271,34 +270,45 @@ class QueryEngine:
 
         ``queries`` is a sequence of ``(anchor, relation)`` pairs (with
         ``tail_side`` fixing the direction) or ``(anchor, relation,
-        tail_side)`` triples (``tail_side=None`` here).  Cache hits are
-        answered immediately; the misses are grouped per ``(relation,
-        direction)``, repeated anchors deduplicated, and each group scored
-        in one chunked block call.  Results come back in query order.
+        tail_side)`` triples (``tail_side=None`` here).  Every id is
+        range-checked before any query touches the cache or the ladder.
+        Cache hits are answered immediately; the misses are grouped per
+        ``(direction, route)`` into one pass, repeated ``(anchor,
+        relation)`` pairs deduplicated, and each pass scored in one block
+        call whatever its relations (a one-row pass takes BLAS's GEMV
+        kernel, see ``docs/serving.md``).  Results come back in query
+        order.
 
-        Latency accounting: a coalesced group's scoring time is split
-        evenly across the queries it answered, so percentiles reflect
-        per-query service cost, not burst size.
+        Latency accounting: a pass's scoring time is split evenly across
+        the queries it answered, so percentiles reflect per-query service
+        cost, not burst size.
 
-        Under resilience the misses group per ``(relation, direction,
-        route)`` — the ladder may send some queries of a batch through
-        the binary tier and shed others — and each query's answer can be
-        a :class:`ShedResponse` instead of a :class:`TopKResult`.
+        Under resilience the ladder may route some queries of a batch
+        through the binary tier and shed others, and each query's answer
+        can be a :class:`ShedResponse` instead of a :class:`TopKResult`.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         filt = self._resolve_filtered(filtered)
+        if not len(queries):
+            return []
+        if tail_side is None:
+            anchors, rels, sides = zip(*queries)
+        else:
+            (anchors, rels), sides = zip(*queries), (tail_side,) * len(queries)
+        anchors, rels = list(map(int, anchors)), list(map(int, rels))
+        n_ent, n_rel = self.store.n_entities, self.store.n_relations
+        for anchor, rel in zip(anchors, rels):  # before any state moves
+            if not 0 <= anchor < n_ent:
+                raise ValueError(f"entity id {anchor} outside [0, {n_ent})")
+            if not 0 <= rel < n_rel:
+                raise ValueError(f"relation id {rel} outside [0, {n_rel})")
         results: list = [None] * len(queries)
-        groups: dict[tuple[int, bool, str], list] = {}
+        # (direction, route) -> ({anchor * n_rel + rel: row}, [(query, row)])
+        passes: dict[tuple[bool, str], tuple[dict, list]] = {}
 
-        for i, query in enumerate(queries):
-            if tail_side is None:
-                anchor, rel, side = query
-            else:
-                anchor, rel = query
-                side = tail_side
-            anchor, rel, side = int(anchor), int(rel), bool(side)
-            self._check_ids(anchor, rel)
+        for i, (anchor, rel, side) in enumerate(zip(anchors, rels,
+                                                    map(bool, sides))):
             start = time.perf_counter()
             kind = "topk_tails" if side else "topk_heads"
             admission = None
@@ -331,74 +341,70 @@ class QueryEngine:
                     # strictly arrival-ordered: grouped scoring must not
                     # smear a window's service to the window boundary.
                     self._complete(admission, self.slo.service_ms(route))
-                groups.setdefault((rel, side, route), []).append((i, anchor))
+                rows, members = passes.setdefault((side, route), ({}, []))
+                members.append((i, rows.setdefault(anchor * n_rel + rel,
+                                                   len(rows))))
 
-        for (rel, side, route), members in groups.items():
+        for (side, route), (rows, members) in passes.items():
             start = time.perf_counter()
-            anchors = np.array([a for _, a in members], dtype=np.int64)
-            unique, inverse = np.unique(anchors, return_inverse=True)
-            scored, served_route = self._group_topk(route, unique, rel,
-                                                    side, k, filt)
-            elapsed = time.perf_counter() - start
-            share = elapsed / len(members)
-            kind = "topk_tails" if side else "topk_heads"
-            for (i, anchor), u in zip(members, inverse):
-                result = scored[u]
-                results[i] = result
-                key = (self._key_for(served_route),
-                       "tails" if side else "heads", anchor, rel, k, filt)
-                self.cache.put(key, result)
+            pairs = np.fromiter(rows, dtype=np.int64, count=len(rows))
+            scored, served_route = self._group_topk(
+                route, pairs // n_rel, pairs % n_rel, side, k, filt)
+            share = (time.perf_counter() - start) / len(members)
+            tier_key = self._key_for(served_route)
+            kind, direction = (("topk_tails", "tails") if side
+                               else ("topk_heads", "heads"))
+            for i, u in members:
+                results[i] = scored[u]
+                self.cache.put((tier_key, direction, anchors[i], rels[i], k,
+                                filt), scored[u])
                 self.stats.record(kind, share, cache_hit=False)
         return results
 
-    def _group_topk(self, route: str, anchors: np.ndarray, rel: int,
+    def _group_topk(self, route: str, anchors: np.ndarray, rels: np.ndarray,
                     tail_side: bool, k: int,
                     filtered: bool) -> tuple[list[TopKResult], str]:
-        """Score one group of unique anchors through ``route``.
+        """Score one pass of unique ``(anchor, relation)`` rows via ``route``.
 
         Returns ``(results, served_route)`` — the route actually used:
-        a binary group falls back to dense (and trips the circuit
+        a binary pass falls back to dense (and trips the circuit
         breaker) when the sidecar fails its checksum mid-query.
         """
         if route == "binary":
             try:
                 if self.resilience is not None:
                     self.resilience.check_sidecar()
-                return (self._group_topk_binary(anchors, rel, tail_side, k,
+                return (self._group_topk_binary(anchors, rels, tail_side, k,
                                                 filtered), "binary")
             except (SidecarCorruptionError,
                     ckpt.CheckpointChecksumError) as exc:
                 if self.resilience is None:
                     raise
                 self.resilience.trip_binary(str(exc))
-        return (self._group_topk_dense(anchors, rel, tail_side, k,
+        return (self._group_topk_dense(anchors, rels, tail_side, k,
                                        filtered), "dense")
 
-    def _group_topk_dense(self, anchors: np.ndarray, rel: int,
+    def _group_topk_dense(self, anchors: np.ndarray, rels: np.ndarray,
                           tail_side: bool, k: int,
                           filtered: bool) -> list[TopKResult]:
-        """One chunked scoring call for every anchor sharing a relation."""
-        rels = np.full(len(anchors), rel, dtype=np.int64)
+        """One chunked scoring call for every row of the pass."""
         return _results(*_select(
             self._dense_scores(anchors, rels, tail_side, filtered), k))
 
     def _dense_scores(self, anchors: np.ndarray, rels: np.ndarray,
                       tail_side: bool, filtered: bool) -> np.ndarray:
         """Every entity's full-precision score per query, known facts NaN."""
-        model = self.store.model
-        if tail_side:
-            scores = model.score_all_tails(anchors, rels,
-                                           chunk_entities=self.chunk_entities)
-        else:
-            scores = model.score_all_heads(rels, anchors,
-                                           chunk_entities=self.chunk_entities)
+        model, chunk = self.store.model, self.chunk_entities
+        scores = (model.score_all_tails(anchors, rels, chunk_entities=chunk)
+                  if tail_side else
+                  model.score_all_heads(rels, anchors, chunk_entities=chunk))
         if filtered:
             scores, _ = scatter_known_nan(scores, self.store.filter_index,
                                           anchors, rels, tail_side=tail_side,
                                           keep=None)
         return scores
 
-    def _group_topk_binary(self, anchors: np.ndarray, rel: int,
+    def _group_topk_binary(self, anchors: np.ndarray, rels: np.ndarray,
                            tail_side: bool, k: int,
                            filtered: bool) -> list[TopKResult]:
         """Hamming candidate generation, then full-precision re-rank."""
@@ -406,7 +412,6 @@ class QueryEngine:
         binary = self.store.binary
         n = self.store.n_entities
         m = len(anchors)
-        rels = np.full(m, rel, dtype=np.int64)
 
         # Stage 1: pack the query vectors' signs, rank every entity by the
         # scale-weighted packed-XOR-popcount score, keep the best rerank_k.
@@ -414,13 +419,9 @@ class QueryEngine:
         vectors = model.query_vector(anchors, rels, tail_side=tail_side)
         masked = None
         if filtered:
-            if tail_side:
-                rows, cols, _ = self.store.filter_index.known_tails(anchors,
-                                                                    rels)
-            else:
-                rows, cols, _ = self.store.filter_index.known_heads(rels,
-                                                                    anchors)
-            masked = (rows, cols)
+            index = self.store.filter_index
+            masked = (index.known_tails(anchors, rels) if tail_side
+                      else index.known_heads(rels, anchors))[:2]
         pools, order = binary.candidate_pools(
             vectors, self.rerank_k, masked=masked,
             geometry=model.score_geometry)
@@ -441,27 +442,22 @@ class QueryEngine:
         results = _results(entities, values, valid)
         rerank_s = time.perf_counter() - t1
 
-        cand_share = candidate_s / m
-        rerank_share = rerank_s / m
         for agreement in _agreement(entities, valid, order):
-            self.stats.record_tier("binary", cand_share, rerank_share,
+            self.stats.record_tier("binary", candidate_s / m, rerank_s / m,
                                    agreement)
         return results
 
     def _rerank_pools(self, anchors, rels, pools, tail_side, masked,
                       n) -> np.ndarray:
         """Score every (query, pool candidate) pair in one block call."""
-        model = self.store.model
-        m, take = pools.shape
-        scores = np.asarray(
-            model.score_candidates(anchors, rels, pools,
-                                   tail_side=tail_side),
-            dtype=np.float32).reshape(m, take)
+        scores = np.asarray(self.store.model.score_candidates(
+            anchors, rels, pools, tail_side=tail_side),
+            dtype=np.float32).reshape(pools.shape)
         if masked is not None and len(masked[0]):
             # A partial pool only admits known facts once unknowns run
             # out; whichever slipped in are NaN-masked exactly like the
             # dense tier's scatter.
-            known = np.zeros((m, n), dtype=bool)
+            known = np.zeros((len(pools), n), dtype=bool)
             known[masked] = True
             scores[np.take_along_axis(known, pools, axis=1)] = np.nan
         return scores
@@ -590,10 +586,10 @@ class QueryEngine:
         :meth:`EmbeddingStore.from_checkpoint`) or an already-built
         :class:`EmbeddingStore`.  The replacement — embeddings, binary
         sidecar, filter index — is **fully constructed and validated
-        before the old store is touched**; any failure (corrupt arrays,
-        checksum mismatch, wrong architecture, missing sidecar for a
-        binary-tier engine, vocabulary drift under a grafted filter)
-        raises and leaves the old store serving, cache intact.  On
+        before the old store is touched**; any failure (corrupt or
+        non-finite arrays, checksum mismatch, wrong architecture, missing
+        sidecar for a binary-tier engine, vocabulary drift under a grafted
+        filter) raises and leaves the old store serving, cache intact.  On
         success, one install step swaps the store, invalidates the LRU
         cache (stale ``(tier, rerank_k)``-keyed answers must not survive
         the swap) and re-arms the circuit breaker.
@@ -649,14 +645,6 @@ class QueryEngine:
                 "cache_entries_dropped": dropped}
 
     # -- misc ----------------------------------------------------------------
-
-    def _check_ids(self, anchor: int, rel: int) -> None:
-        if not 0 <= anchor < self.store.n_entities:
-            raise ValueError(
-                f"entity id {anchor} outside [0, {self.store.n_entities})")
-        if not 0 <= rel < self.store.n_relations:
-            raise ValueError(
-                f"relation id {rel} outside [0, {self.store.n_relations})")
 
     def snapshot(self) -> dict:
         """Telemetry summary: stats plus live cache counters."""

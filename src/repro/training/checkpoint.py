@@ -102,6 +102,10 @@ class CheckpointConfigMismatchError(CheckpointError):
     """The checkpoint belongs to a run with a different configuration."""
 
 
+class CheckpointNonFiniteError(CheckpointError):
+    """A served model array holds NaN or infinity: the run diverged."""
+
+
 class CheckpointWorldMismatchError(CheckpointError):
     """The checkpoint was captured by a different world size.
 
@@ -633,8 +637,18 @@ def load_for_serving(path: str | Path) -> CheckpointState:
     the training run, it only reads the embeddings) and a world-lineage
     mismatch is fine (serving needs no world reconstruction, so a snapshot
     captured mid-shrink by the elastic supervisor serves as well as any).
+    One gate is serve-only: non-finite model arrays are refused.
     """
-    return load_checkpoint(resolve_checkpoint_dir(path))
+    state = load_checkpoint(resolve_checkpoint_dir(path))
+    served = {k: a for k, a in state.arrays.items() if k.startswith("model/")}
+    for name, arr in sorted(served.items()):
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            raise CheckpointNonFiniteError(
+                f"array {name!r} holds a non-finite value in row "
+                f"{bad[0][0]}; the snapshot diverged — "
+                f"serve an earlier checkpoint")
+    return state
 
 
 def manifest_digest(path: str | Path) -> str:

@@ -118,6 +118,31 @@ class TestTopK:
         with pytest.raises(ValueError, match="entity id"):
             engine.nearest_entities(-1)
 
+    @pytest.mark.parametrize("bad, match", [
+        ((10**6, 0), "entity id 1000000"), ((0, -1), "relation id -1"),
+        ((-2, 10**6), "entity id -2")])
+    def test_rejected_batch_leaves_no_trace(self, dataset, bad, match):
+        """Ids are range-checked for the whole batch first: a batch whose
+        last query is out of range raises before any query is admitted,
+        looked up or scored — virtual clock, stats and cache untouched."""
+        engine = build_engine(dataset, "complex", resilience=True)
+        engine.topk_batch([(0, 0), (1, 1)], k=3)
+
+        def state():
+            ctrl, cache = engine.resilience, engine.cache
+            return (ctrl.arrivals, ctrl.clock_ms, ctrl.free_ms,
+                    engine.stats.snapshot(), cache.hits, cache.misses,
+                    len(cache))
+
+        before = state()
+        assert before[0] == 2
+        with pytest.raises(ValueError, match=match):
+            engine.topk_batch([(0, 0), (2, 1), bad], k=3)
+        with pytest.raises(ValueError, match=match):
+            engine.topk_batch([(1, 0, True), bad + (False,)], k=3,
+                              tail_side=None)
+        assert state() == before
+
     def test_results_are_frozen(self, dataset):
         engine = build_engine(dataset, "complex")
         result = engine.topk_tails(1, 1, k=4)
@@ -128,8 +153,8 @@ class TestTopK:
 
 
 class TestMicroBatching:
-    """topk_batch coalesces per (relation, direction) without changing any
-    answer: a burst must equal the per-query grouped reference."""
+    """topk_batch coalesces per direction without changing any answer: a
+    burst must equal the per-query grouped reference."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_batch_matches_grouped_reference(self, dataset, name):
@@ -137,19 +162,18 @@ class TestMicroBatching:
         queries = [(1, 0), (2, 0), (1, 0), (9, 3), (2, 0), (5, 3)]
         batched = engine.topk_batch(queries, k=8)
 
-        # Reference: the same per-relation unique-anchor block calls the
-        # engine makes, computed by hand.
+        # Reference: the one block call over the unique (anchor, relation)
+        # pairs the engine makes, computed by hand.
         index = dataset.filter_index
         model = engine.store.model
+        anchors, rels = np.array([1, 2, 5, 9]), np.array([0, 0, 3, 3])
+        scores = model.score_all_tails(anchors, rels)
+        scores, _ = scatter_known_nan(scores, index, anchors, rels,
+                                      tail_side=True, keep=None)
         expected = {}
-        for rel, anchors in ((0, np.array([1, 2])), (3, np.array([5, 9]))):
-            rels = np.full(len(anchors), rel, dtype=np.int64)
-            scores = model.score_all_tails(anchors, rels)
-            scores, _ = scatter_known_nan(scores, index, anchors, rels,
-                                          tail_side=True, keep=None)
-            for row, anchor in zip(scores, anchors):
-                order = np.argsort(-row, kind="stable")[:8]
-                expected[(int(anchor), rel)] = (order, row[order])
+        for row, anchor, rel in zip(scores, anchors, rels):
+            order = np.argsort(-row, kind="stable")[:8]
+            expected[(int(anchor), int(rel))] = (order, row[order])
         for (anchor, rel), result in zip(queries, batched):
             order, scores = expected[(anchor, rel)]
             assert np.array_equal(result.entities, order)

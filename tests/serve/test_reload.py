@@ -9,6 +9,8 @@ LRU cache must be invalidated on swap so no pre-reload answer — under any
 ``(tier, rerank_k)`` key — survives into the new snapshot's traffic.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from repro.serve import (EmbeddingStore, QueryEngine, ServeFaultPlan,
                          export_binary)
 from repro.training.checkpoint import (ARRAYS_NAME, MANIFEST_NAME,
                                        CheckpointChecksumError,
-                                       CheckpointError, _npz_bytes,
-                                       manifest_digest)
+                                       CheckpointError,
+                                       CheckpointNonFiniteError, _npz_bytes,
+                                       _sha256_array, manifest_digest)
 from repro.training.strategy import baseline_allreduce
 from repro.training.trainer import DistributedTrainer, TrainConfig
 
@@ -214,6 +217,28 @@ class TestRollback:
         assert manifest_digest(bad) != old_store.manifest_digest
 
         with pytest.raises(CheckpointChecksumError):
+            engine.reload(bad, dataset=dataset)
+        self._assert_untouched(engine, old_store, before, warm)
+
+    def test_non_finite_checkpoint_rolls_back(self, dataset, ckpt_a,
+                                              ckpt_b, tmp_path):
+        """A diverged snapshot (NaN entity row, valid checksums) fails the
+        serve load, so the reload rolls back with the cache still warm."""
+        engine = _engine_on(ckpt_a, dataset)
+        before = _answers(engine)
+        old_store, warm = engine.store, len(engine.cache)
+
+        bad = _copy_checkpoint(ckpt_b, tmp_path, "diverged")
+        with np.load(bad / ARRAYS_NAME, allow_pickle=False) as data:
+            arrays = {name: np.array(data[name]) for name in data.files}
+        arrays["model/entity_emb"][5] = np.nan
+        (bad / ARRAYS_NAME).write_bytes(_npz_bytes(arrays))
+        manifest = json.loads((bad / MANIFEST_NAME).read_text())
+        manifest["arrays"]["model/entity_emb"]["sha256"] = _sha256_array(
+            arrays["model/entity_emb"])
+        (bad / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        with pytest.raises(CheckpointNonFiniteError, match="row 5"):
             engine.reload(bad, dataset=dataset)
         self._assert_untouched(engine, old_store, before, warm)
 

@@ -6,17 +6,20 @@ scores, identical tie-break order — with one deliberate divergence: eval
 restores the gold column (the query's own true entity competes), while a
 live query has no gold entity, so serving masks *every* known fact.
 
-Bitwise footnote.  The engine scores each (relation, direction) group in
-one block call over the group's *unique anchors*; ``rank_triples`` scores
-the mixed evaluation batch.  Regrouping a multi-row batch by relation is
-bitwise-invisible (pinned below by ``test_grouped_equals_mixed_bitwise``),
-but a group that collapses to a **single** row takes BLAS's matrix-vector
-kernel, whose reduction order can differ from the matrix-matrix kernel in
-the last bit for the matmul models (DistMult, ComplEx).  The byte-exact
-property therefore compares against a reference built with the engine's
-own call shapes; the mixed-batch eval rows are asserted bitwise-equal for
-multi-anchor groups and to float tolerance always.
+Bitwise footnote.  The engine scores each direction's cache misses as
+one pass: one block call over the pass's unique ``(anchor, relation)``
+pairs, whatever their relations; ``rank_triples`` scores the mixed
+evaluation batch.  In a multi-row block a row's bytes do not depend on
+the other rows (pinned below by ``TestGroupingBitwise``), but a pass that
+collapses to a **single** row takes BLAS's matrix-vector kernel, whose
+reduction order can differ from the matrix-matrix kernel in the last bit
+for the matmul models (DistMult, ComplEx).  The byte-exact property
+therefore compares against a reference built with the engine's own call
+shape; the mixed-batch eval rows are asserted bitwise-equal when the
+pass had more than one row and to float tolerance always.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -48,24 +51,24 @@ def serving_case(draw):
 
 
 def grouped_reference(model, index, anchors, rels, k, tail_side=True):
-    """Filtered top-k per query, computed with the engine's call shapes:
-    one block call per relation over its unique anchors, the serve-time
-    CSR scatter (no gold exemption), stable descending-score /
-    ascending-id argsort."""
+    """Filtered top-k per query, computed with the engine's call shape:
+    one block call over the pass's unique (anchor, relation) pairs, the
+    serve-time CSR scatter (no gold exemption), stable
+    descending-score / ascending-id argsort."""
+    n_rel = model.n_relations
+    pairs = np.unique(np.asarray(anchors, dtype=np.int64) * n_rel + rels)
+    unique, urels = pairs // n_rel, pairs % n_rel
+    if tail_side:
+        scores = model.score_all_tails(unique, urels)
+    else:
+        scores = model.score_all_heads(urels, unique)
+    masked, _ = scatter_known_nan(scores, index, unique, urels,
+                                  tail_side=tail_side, keep=None)
     out = {}
-    for rel in np.unique(rels):
-        unique = np.unique(anchors[rels == rel])
-        full = np.full(len(unique), rel, dtype=np.int64)
-        if tail_side:
-            scores = model.score_all_tails(unique, full)
-        else:
-            scores = model.score_all_heads(full, unique)
-        masked, _ = scatter_known_nan(scores, index, unique, full,
-                                      tail_side=tail_side, keep=None)
-        for row, anchor in zip(masked, unique):
-            n_valid = int((~np.isnan(row)).sum())
-            order = np.argsort(-row, kind="stable")[:min(k, n_valid)]
-            out[(int(anchor), int(rel))] = (order, row[order], row)
+    for row, anchor, rel in zip(masked, unique, urels):
+        n_valid = int((~np.isnan(row)).sum())
+        order = np.argsort(-row, kind="stable")[:min(k, n_valid)]
+        out[(int(anchor), int(rel))] = (order, row[order], row)
     return out
 
 
@@ -98,8 +101,8 @@ class TestServeEqualsEval:
             eval_row[t[i]] = np.nan
             np.testing.assert_allclose(row, eval_row, rtol=1e-5,
                                        atol=1e-6, equal_nan=True)
-            # ...and byte-for-byte when the group kept a matrix shape.
-            if len(np.unique(h[r == r[i]])) > 1:
+            # ...and byte-for-byte when the pass kept a matrix shape.
+            if len(reference) > 1:
                 assert row.tobytes() == eval_row.tobytes()
 
     @given(serving_case())
@@ -153,9 +156,16 @@ class TestServeEqualsEval:
             assert h[i] not in answer.entities
 
 
+@functools.lru_cache(maxsize=None)
+def _wide_model(name):
+    """A model at the arc-serve geometry: entity rows 64 floats wide."""
+    dim = 64 // MODEL_REGISTRY[name].width_factor
+    return make_model(name, 2000, 24, dim, seed=12)
+
+
 class TestGroupingBitwise:
-    """The regrouping the micro-batcher performs is bitwise-invisible for
-    multi-row groups — the property the byte-exact contract rests on."""
+    """Which rows share a multi-row block call is bitwise-invisible — the
+    property the micro-batcher's byte-exact contract rests on."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_grouped_equals_mixed_bitwise(self, name):
@@ -171,3 +181,31 @@ class TestGroupingBitwise:
             grouped = model.score_all_tails(h[members],
                                             np.full(len(members), rel))
             assert grouped.tobytes() == mixed[members].tobytes()
+
+    @pytest.mark.parametrize("tail_side", [True, False])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @given(m=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_row_bytes_do_not_depend_on_the_pass(self, name, tail_side, m,
+                                                 seed):
+        """A mixed-relation pass of ``m`` unique (anchor, rel) rows: each
+        row's bytes equal its bytes reversed within the pass and paired
+        with just one other row of it.  2,000 entities keep every block
+        above OpenBLAS's small-matrix kernel (see docs/serving.md)."""
+        model = _wide_model(name)
+        n_rel = model.n_relations
+        keys = np.random.default_rng(seed).choice(
+            model.n_entities * n_rel, size=m, replace=False)
+        anchors, rels = keys // n_rel, keys % n_rel
+
+        def block(rows):
+            if tail_side:
+                return model.score_all_tails(anchors[rows], rels[rows])
+            return model.score_all_heads(rels[rows], anchors[rows])
+
+        rows = np.arange(m)
+        full = block(rows)
+        assert block(rows[::-1])[::-1].tobytes() == full.tobytes()
+        for i in rows:
+            pair = block([i, (i + 1) % m])
+            assert pair[0].tobytes() == full[i].tobytes()

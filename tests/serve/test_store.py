@@ -12,17 +12,20 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import export_binary_main
 from repro.kg.datasets import make_tiny_kg
-from repro.serve import EmbeddingStore, QueryEngine
+from repro.serve import EmbeddingStore, QueryEngine, export_binary
 from repro.training.checkpoint import (
     ARRAYS_NAME,
     MANIFEST_NAME,
     CheckpointChecksumError,
     CheckpointCorruptError,
     CheckpointError,
+    CheckpointNonFiniteError,
     CheckpointSchemaError,
     CheckpointWorldMismatchError,
     _npz_bytes,
+    _sha256_array,
     load_for_serving,
 )
 from repro.training.strategy import baseline_allreduce
@@ -57,6 +60,20 @@ def _copy_checkpoint(path, tmp_path):
     dst.mkdir()
     for name in (MANIFEST_NAME, ARRAYS_NAME):
         (dst / name).write_bytes((path / name).read_bytes())
+    return dst
+
+
+def _diverged_copy(path, tmp_path, name, row, value):
+    """A copy whose array ``name`` holds ``value`` in ``row`` under a valid
+    checksum — the snapshot a run that diverged would have written."""
+    dst = _copy_checkpoint(path, tmp_path)
+    with np.load(dst / ARRAYS_NAME, allow_pickle=False) as data:
+        arrays = {key: np.array(data[key]) for key in data.files}
+    arrays[name][row, -1] = value
+    (dst / ARRAYS_NAME).write_bytes(_npz_bytes(arrays))
+    manifest = json.loads((dst / MANIFEST_NAME).read_text())
+    manifest["arrays"][name]["sha256"] = _sha256_array(arrays[name])
+    (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
     return dst
 
 
@@ -152,6 +169,27 @@ class TestNegative:
         (dst / ARRAYS_NAME).write_bytes(_npz_bytes(arrays))
         with pytest.raises(CheckpointChecksumError, match="model/entity_emb"):
             EmbeddingStore.from_checkpoint(dst, model_name="complex")
+
+    @pytest.mark.parametrize("name, row, value", [
+        ("model/entity_emb", 5, np.nan), ("model/relation_emb", 2, -np.inf)])
+    def test_non_finite_embeddings_refused(self, snapshot, tmp_path,
+                                           capsys, name, row, value):
+        """A diverged row passes every checksum but must not serve: NaN is
+        the serving filter's marker, so a NaN entity would silently drop
+        out of every answer.  The loader names the array and the row, and
+        ``export-binary`` refuses the same snapshot."""
+        _, path = snapshot
+        dst = _diverged_copy(path, tmp_path, name, row, value)
+        match = f"{name!r} holds a non-finite value in row {row};"
+        with pytest.raises(CheckpointNonFiniteError, match=match):
+            load_for_serving(dst)
+        with pytest.raises(CheckpointNonFiniteError, match=match):
+            EmbeddingStore.from_checkpoint(dst, model_name="complex")
+        with pytest.raises(CheckpointNonFiniteError, match=match):
+            export_binary(dst, model_name="complex")
+        assert export_binary_main(["--checkpoint", str(dst)]) == 2
+        assert f"row {row}" in capsys.readouterr().err
+        assert not (dst / "binary.npz").exists()
 
     def test_schema_v1_without_lineage(self, snapshot, tmp_path):
         """A pre-lineage (schema 1) snapshot is a foreign writer: the

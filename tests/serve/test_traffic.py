@@ -221,9 +221,9 @@ class TestReplay:
 
     def test_per_query_errors_are_counted_not_fatal(self, monkeypatch):
         """Satellite: one poisoned query must not kill the replay.  A
-        scorer that blows up for a single relation loses exactly that
-        relation's top-k queries — counted, first detail kept — while
-        every window-mate is still served."""
+        scorer that blows up on any pass holding one relation loses
+        exactly that relation's top-k queries — counted, first detail
+        kept — while every window-mate is still served."""
         dataset = make_tiny_kg(seed=31)
         model = ComplEx(dataset.n_entities, dataset.n_relations, 8, seed=31)
         engine = QueryEngine(EmbeddingStore.from_model(model,
@@ -231,10 +231,10 @@ class TestReplay:
                              cache_capacity=0)
         real = engine._group_topk_dense
 
-        def flaky(anchors, rel, side, k, filt):
-            if rel == 1:
+        def flaky(anchors, rels, side, k, filt):
+            if np.any(rels == 1):
                 raise RuntimeError("injected scorer fault on relation 1")
-            return real(anchors, rel, side, k, filt)
+            return real(anchors, rels, side, k, filt)
 
         monkeypatch.setattr(engine, "_group_topk_dense", flaky)
         traffic = ZipfianTraffic(dataset.n_entities, dataset.n_relations,
