@@ -17,26 +17,65 @@ from pathlib import Path
 
 import pytest
 
-from repro import TrainConfig, train
+from dataclasses import replace
+
+from repro import FaultPlan, TrainConfig, train
+from repro.comm.network import NetworkModel
+from repro.comm.topology import HierarchicalNetwork
 from repro.kg.datasets import make_tiny_kg
-from repro.training.strategy import PRESETS
+from repro.training.strategy import PRESETS, StrategyConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
-#: golden name -> (strategy preset, simulated nodes)
+#: 2 nodes x 2 ranks: a fast on-node link and a slow between-node ring.
+TWO_LEVEL = HierarchicalNetwork(
+    intra=NetworkModel(alpha=1e-7, beta=1e-11),
+    inter=NetworkModel(alpha=5e-6, beta=1.25e-10),
+    ranks_per_node=2)
+
+#: Drops that exhaust a one-retry budget often enough to engage the
+#: reliable dense resend on some steps.
+FALLBACK_DENSE = FaultPlan(seed=7, drop_prob=0.5, max_retries=1,
+                           policy="fallback-dense")
+
+#: golden name -> (strategy, simulated ranks, network, fault plan).  Each
+#: combo pins one route/codec of the trainer's gradient exchange.
 COMBOS = {
-    "allreduce-n1": ("allreduce", 1),
-    "rs-1bit-n3": ("RS+1-bit", 3),
-    "drs-1bit-rp-ss-n4": ("DRS+1-bit+RP+SS", 4),
+    "allreduce-n1": (PRESETS["allreduce"](), 1, None, None),
+    "rs-1bit-n3": (PRESETS["RS+1-bit"](), 3, None, None),
+    "drs-1bit-rp-ss-n4": (PRESETS["DRS+1-bit+RP+SS"](), 4, None, None),
+    # two-level stack, dense and lossless
+    "allreduce-hier-n4": (
+        replace(PRESETS["allreduce"](), collective="hier"), 4, TWO_LEVEL,
+        None),
+    # two-level stack re-quantized at the hop boundary, rank and node
+    # residuals; probing every 2nd epoch also runs the flat allgather
+    "drs-1bit-ef-hier-n4": (
+        replace(PRESETS["DRS+1-bit"](), collective="hier",
+                error_feedback=True, drs_probe_interval=2),
+        4, TWO_LEVEL, None),
+    # 2-bit codes draw from the selection RNG between selections
+    "rs-2bit-n3": (replace(PRESETS["RS"](), quantization_bits=2), 3, None,
+                   None),
+    # GradZip factored payloads
+    "allgather-fact-r4-n3": (
+        replace(PRESETS["allgather"](), factorization_rank=4), 3, None,
+        None),
+    # codec-free sparse allgather
+    "rs-n3": (PRESETS["RS"](), 3, None, None),
+    # compressed gathers that give up resend as a reliable dense allreduce
+    "rs-1bit-fallback-n3": (PRESETS["RS+1-bit"](), 3, None, FALLBACK_DENSE),
 }
 
 
-def run_digest(preset: str, n_nodes: int) -> dict:
+def run_digest(strategy: StrategyConfig, n_nodes: int, network=None,
+               faults: FaultPlan | None = None) -> dict:
     """One frozen-seed training run, reduced to its comparable numbers."""
     store = make_tiny_kg()
     cfg = TrainConfig(dim=8, batch_size=128, max_epochs=4, lr_patience=6,
                       eval_max_queries=30, seed=20220829)
-    result = train(store, PRESETS[preset](), n_nodes, config=cfg)
+    result = train(store, strategy, n_nodes, config=cfg, network=network,
+                   faults=faults)
     # Every field below is deterministic; real wall-clock timings
     # (eval_seconds) are deliberately excluded.
     return {
@@ -61,8 +100,7 @@ def run_digest(preset: str, n_nodes: int) -> dict:
 
 @pytest.mark.parametrize("name", sorted(COMBOS))
 def test_golden_run(name, update_goldens):
-    preset, n_nodes = COMBOS[name]
-    digest = run_digest(preset, n_nodes)
+    digest = run_digest(*COMBOS[name])
     path = GOLDEN_DIR / f"{name}.json"
     if update_goldens:
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
