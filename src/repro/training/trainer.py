@@ -11,8 +11,12 @@ The synchronous step
 
 1. every rank computes local gradients (real NumPy math, including the
    hardest-negative forward pass when SS is on);
-2. the entity gradient is combined: dense allreduce **or** sparse/quantized
-   allgather, per the current mode (DRS probes and switches between them);
+2. the entity gradient is combined, per the current mode (DRS probes and
+   switches between them): dense allreduce over the flat ring or the
+   two-level (intra-node, then inter-node) stack, **or** a sparse exchange
+   of selected, optionally quantized or factored rows — an allgather
+   between ranks, or on the two-level stack a full-precision intra-node
+   gather re-quantized once per node at the hop boundary;
 3. the relation gradient is combined the same way — unless relation
    partition is on, in which case it is applied locally at full precision
    with no communication at all;
@@ -306,6 +310,14 @@ class DistributedTrainer:
                 self.network, n_nodes, global_ranks=self.global_ranks)
         else:
             self._hier_groups = None
+        # With an explicit collective stack, "allreduce" means a genuinely
+        # flat single-level ring: every hop priced on the between-node
+        # link, not the cluster network's lump hierarchical approximation.
+        self._flat_net = None
+        if self._hier_groups is not None:
+            _, inter = hierarchical.hop_models(self.network)
+            if inter is not self.network:
+                self._flat_net = inter
         if strategy.error_feedback and self._hier_groups is not None:
             # Hop-boundary error feedback: the *node* owns the error its
             # boundary quantizer makes, keyed by stable physical node id so
@@ -433,219 +445,142 @@ class DistributedTrainer:
             return "hierarchical"
         return mode
 
+    def _sparse_wire(self, mode: str) -> bool:
+        """Whether ``mode`` ships selected rows instead of the dense matrix.
+
+        Every allgather step does, and so does a hierarchical step whose
+        hop boundary re-quantizes; allreduce and dense hierarchical steps
+        carry the full matrix.
+        """
+        return mode == "allgather" or (
+            mode == "hierarchical" and self.strategy.quantization_bits > 0)
+
     def _communicate(self, grads: list[SparseRows], mode: str,
                      matrix_rows: int,
                      residuals: list[ResidualStore] | None = None,
                      kind: str = "entity") -> tuple[SparseRows, float]:
         """Combine per-rank gradients; return (combined, selection sparsity).
 
-        The allreduce path is lossless and dense on the wire; the
-        hierarchical path is the two-level stack (dense and lossless
-        without quantization, re-quantized at the hop boundary with it);
-        the allgather path first applies row selection and quantization per
-        rank.  ``residuals`` (one store per rank, matching this matrix)
-        enables error feedback around the quantizer.  ``kind`` ("entity" or
-        "relation") prefixes every collective's op label so comm stats
-        attribute traffic per gradient matrix — the relation partition's
-        no-communication invariant is then directly auditable as the
-        absence of any ``relation_*`` op.
+        A dense wire (allreduce, or hierarchical without quantization)
+        charges the full matrix and sums losslessly; the two-level stack
+        only changes which hops are charged.  A sparse wire runs
+        :meth:`_exchange_sparse`.  ``residuals`` (one store per rank,
+        matching this matrix) enables error feedback around the quantizer.
+        ``kind`` ("entity" or "relation") prefixes every collective's op
+        label so comm stats attribute traffic per gradient matrix — the
+        relation partition's no-communication invariant is then directly
+        auditable as the absence of any ``relation_*`` op.
         """
-        strategy = self.strategy
         if self.n_nodes == 1:
             return grads[0], 0.0
-
-        if mode == "allreduce":
-            try:
-                width = (self._entity_width if kind == "entity"
-                         else self._relation_width)
-                flat_net = None
-                if self._hier_groups is not None:
-                    # With an explicit collective stack, "allreduce" means
-                    # a genuinely flat single-level ring: every hop priced
-                    # on the between-node link, not the cluster network's
-                    # lump hierarchical approximation.
-                    _, flat_net = hierarchical.hop_models(self.network)
-                    if flat_net is self.network:
-                        flat_net = None
-                collectives.allreduce_bytes(
-                    self.cluster, dense_bytes(matrix_rows, width),
-                    algo=strategy.allreduce_algo,
-                    op_label=f"{kind}_allreduce", network=flat_net)
-            except CollectiveGaveUp:
-                self._dense_fallback(matrix_rows, kind)
-            return combine_sparse(grads, impl=self.config.accum_impl), 0.0
-
-        if mode == "hierarchical":
-            try:
-                return self._communicate_hier(grads, matrix_rows, residuals,
-                                              kind)
-            except CollectiveGaveUp:
-                self._dense_fallback(matrix_rows, kind)
-                return combine_sparse(grads, impl=self.config.accum_impl), 0.0
-
+        width = (self._entity_width if kind == "entity"
+                 else self._relation_width)
+        nbytes = dense_bytes(matrix_rows, width)
         try:
-            return self._communicate_allgather(grads, residuals, kind)
+            if self._sparse_wire(mode):
+                return self._exchange_sparse(grads, mode, residuals, kind,
+                                             width)
+            if mode == "hierarchical":
+                hierarchical.hier_allreduce_bytes(
+                    self.cluster, nbytes, self._hier_groups,
+                    op_label=f"{kind}_hier")
+            else:
+                collectives.allreduce_bytes(
+                    self.cluster, nbytes, algo=self.strategy.allreduce_algo,
+                    op_label=f"{kind}_allreduce", network=self._flat_net)
         except CollectiveGaveUp:
-            # fallback-dense policy: the compressed gather could not be
-            # delivered; resend the step's update as a reliable (and
-            # lossless) dense allreduce instead.
-            self._dense_fallback(matrix_rows, kind)
-            return combine_sparse(grads, impl=self.config.accum_impl), 0.0
-
-    def _dense_fallback(self, matrix_rows: int, kind: str = "entity") -> None:
-        """Resend one step's update as a reliable dense allreduce.
-
-        Engaged by the ``fallback-dense`` degradation policy after a
-        collective exhausted its retry budget (the aborted attempt's time
-        is already on the clocks).  The fallback itself runs with
-        unbounded retries so it cannot abort recursively.
-        """
-        width = (self._entity_width if kind == "entity"
-                 else self._relation_width)
-        with self.cluster.faults.reliable():
-            collectives.allreduce_bytes(
-                self.cluster, dense_bytes(matrix_rows, width),
-                algo=self.strategy.allreduce_algo,
-                op_label=f"{kind}_fallback_dense")
-        self._fallbacks += 1
-
-    def _communicate_hier(self, grads: list[SparseRows], matrix_rows: int,
-                          residuals: list[ResidualStore] | None,
-                          kind: str = "entity") -> tuple[SparseRows, float]:
-        """The two-level path of :meth:`_communicate`.
-
-        Without quantization this is a dense, lossless allreduce over the
-        hierarchical stack — bitwise identical combination to the flat
-        allreduce branch, only the charged hops differ.  With quantization
-        it delegates to the hop-boundary re-quantizing variant.
-        """
-        if self.strategy.quantization_bits:
-            return self._communicate_hier_quant(grads, residuals, kind)
-        width = (self._entity_width if kind == "entity"
-                 else self._relation_width)
-        hierarchical.hier_allreduce_bytes(
-            self.cluster, dense_bytes(matrix_rows, width), self._hier_groups,
-            op_label=f"{kind}_hier")
+            # fallback-dense policy: the collective exhausted its retry
+            # budget (the aborted attempt's time is already on the clocks).
+            # Resend the step's update as a lossless dense allreduce with
+            # unbounded retries, so the fallback cannot abort recursively.
+            with self.cluster.faults.reliable():
+                collectives.allreduce_bytes(
+                    self.cluster, nbytes, algo=self.strategy.allreduce_algo,
+                    op_label=f"{kind}_fallback_dense")
+            self._fallbacks += 1
         return combine_sparse(grads, impl=self.config.accum_impl), 0.0
 
-    def _communicate_hier_quant(self, grads: list[SparseRows],
-                                residuals: list[ResidualStore] | None,
-                                kind: str = "entity"
-                                ) -> tuple[SparseRows, float]:
-        """Compressed two-level path: re-quantization at the hop boundary.
+    def _exchange_sparse(self, grads: list[SparseRows], mode: str,
+                         residuals: list[ResidualStore] | None, kind: str,
+                         width: int) -> tuple[SparseRows, float]:
+        """The sparse wire of :meth:`_communicate`: select, encode, combine.
 
-        Per rank: inject then **clear** the rank residual (this path never
-        re-stores it — the node-level store owns the compression error from
-        here on, and a rank residual left dirty would re-apply every
-        epoch), then row selection.  The intra hop gathers the selected
-        rows at full precision (on-node bandwidth is nearly free; an
-        on-node quantize would spend accuracy for nothing).  Each node then
-        combines its members' rows, folds in its node residual, and
-        quantizes *once* — the expensive inter ring carries 1-bit/2-bit
-        codes, and no payload survives more than one lossy encode per
-        traversal.  The intra broadcast fans the gathered codes back out.
+        Per rank: inject the rank residual, then select rows.  Then one
+        encode per *sender* — 1-bit/2-bit codes (storing the sender's
+        quantization error when error feedback is on), GradZip factors on
+        the shared basis, or the rows as they are — the route's charges,
+        and one decode + sum.  On the flat allgather the senders are the
+        ranks.  On the two-level stack they are the nodes: the rank
+        residual is **cleared** after injection (the node store owns the
+        compression error from here on; a rank residual left dirty would
+        re-apply every epoch), the intra hop gathers the selected rows at
+        full precision (on-node bandwidth is nearly free), and each node
+        sums its members and folds in its node residual before its one
+        encode.  The inter ring carries the codes and the intra broadcast
+        fans them back out, so no payload is lossily encoded twice.
         """
         strategy = self.strategy
-        groups = self._hier_groups
-        node_res = (self._hier_entity_residuals if kind == "entity"
-                    else self._hier_relation_residuals)
+        groups = self._hier_groups if mode == "hierarchical" else None
         dropped = kept = 0
-        processed: list[SparseRows] = []
-        for rank, grad in enumerate(grads):
-            g = grad
+        senders: list[SparseRows] = []
+        for rank, g in enumerate(grads):
             if residuals is not None:
                 g = residuals[rank].inject(g)
-                residuals[rank].clear()
+                if groups is not None:
+                    residuals[rank].clear()
             if strategy.selection != "none":
                 g, stats = select(g, strategy.selection, self._sel_rng)
                 dropped += stats.rows_in - stats.rows_kept
                 kept += stats.rows_kept
-            processed.append(g)
+            senders.append(g)
 
-        hierarchical.hier_intra_gather_bytes(
-            self.cluster, [g.nbytes_wire for g in processed], groups,
-            op_label=f"{kind}_hier")
-
-        payloads = []
-        for node, members in zip(groups.node_ids, groups.members):
-            node_sum = combine_sparse([processed[r] for r in members],
+        sender_residuals = residuals
+        if groups is not None:
+            hierarchical.hier_intra_gather_bytes(
+                self.cluster, [g.nbytes_wire for g in senders], groups,
+                op_label=f"{kind}_hier")
+            senders = [combine_sparse([senders[r] for r in members],
                                       impl=self.config.accum_impl)
+                       for members in groups.members]
+            node_res = (self._hier_entity_residuals if kind == "entity"
+                        else self._hier_relation_residuals)
+            sender_residuals = None
             if node_res is not None:
-                node_sum = node_res.inject(node, node_sum)
-            q = quantize(node_sum, strategy.quantization_bits,
-                         stat=strategy.quantization_stat, rng=self._sel_rng)
-            if node_res is not None:
-                node_res.store(node, quantization_error(node_sum, q))
-            payloads.append(q)
-
-        node_bytes = [q.nbytes_wire for q in payloads]
-        hierarchical.hier_inter_allgatherv_bytes(
-            self.cluster, node_bytes, groups, op_label=f"{kind}_hier")
-        combined = combine_sparse([dequantize(q) for q in payloads],
-                                  impl=self.config.accum_impl)
-        hierarchical.hier_intra_bcast_bytes(
-            self.cluster, sum(node_bytes), groups, op_label=f"{kind}_hier")
-
-        total_rows = dropped + kept
-        sparsity = dropped / total_rows if total_rows else 0.0
-        return combined, sparsity
-
-    def _communicate_allgather(self, grads: list[SparseRows],
-                               residuals: list[ResidualStore] | None,
-                               kind: str = "entity"
-                               ) -> tuple[SparseRows, float]:
-        """The lossy allgather path of :meth:`_communicate`."""
-        strategy = self.strategy
-        dropped = kept = 0
-        processed: list[SparseRows] = []
-        for rank, grad in enumerate(grads):
-            # Natural sparsity: rows that are numerically zero never travel.
-            g = grad
-            if residuals is not None:
-                g = residuals[rank].inject(g)
-            if strategy.selection != "none":
-                g, stats = select(g, strategy.selection, self._sel_rng)
-                dropped += stats.rows_in - stats.rows_kept
-                kept += stats.rows_kept
-            processed.append(g)
+                sender_residuals = [node_res.stores[node]
+                                    for node in groups.node_ids]
+                senders = [res.inject(g)
+                           for res, g in zip(sender_residuals, senders)]
 
         if strategy.quantization_bits:
-            payloads = []
-            for rank, g in enumerate(processed):
-                q = quantize(g, strategy.quantization_bits,
-                             stat=strategy.quantization_stat,
-                             rng=self._sel_rng)
-                if residuals is not None:
-                    residuals[rank].store(quantization_error(g, q))
-                payloads.append(q)
-            collectives.allgatherv_bytes(
-                self.cluster, [q.nbytes_wire for q in payloads],
-                algo=strategy.allgather_algo,
-                op_label=f"{kind}_allgather_quant")
-            combined = combine_sparse([dequantize(q) for q in payloads],
-                                      impl=self.config.accum_impl)
+            payloads = [quantize(g, strategy.quantization_bits,
+                                 stat=strategy.quantization_stat,
+                                 rng=self._sel_rng) for g in senders]
+            if sender_residuals is not None:
+                for res, g, q in zip(sender_residuals, senders, payloads):
+                    res.store(quantization_error(g, q))
+            codec, decode = "quant", dequantize
         elif self._projections is not None:
-            # GradZip comparator: project rows onto the shared basis, ship
-            # the skinny factors, reconstruct locally.
-            width = processed[0].dim if processed[0].nnz_rows else \
-                self._entity_width
-            projection = self._projections.get(width)
-            payloads = [gradzip.compress(g, projection) for g in processed]
-            collectives.allgatherv_bytes(
-                self.cluster, [q.nbytes_wire for q in payloads],
-                algo=strategy.allgather_algo,
-                op_label=f"{kind}_allgather_factored")
-            combined = combine_sparse(
-                [gradzip.reconstruct(q, projection) for q in payloads],
-                impl=self.config.accum_impl)
+            projection = self._projections[width]
+            payloads = [gradzip.compress(g, projection) for g in senders]
+            codec = "factored"
+            decode = lambda q: gradzip.reconstruct(q, projection)
         else:
-            combined = collectives.allgather_sparse(
-                self.cluster, processed, algo=strategy.allgather_algo,
-                op_label=f"{kind}_allgather_sparse")
+            payloads, codec, decode = senders, "sparse", lambda q: q
 
+        wire = [p.nbytes_wire for p in payloads]
+        if groups is None:
+            collectives.allgatherv_bytes(
+                self.cluster, wire, algo=strategy.allgather_algo,
+                op_label=f"{kind}_allgather_{codec}")
+        else:
+            hierarchical.hier_inter_allgatherv_bytes(
+                self.cluster, wire, groups, op_label=f"{kind}_hier")
+            hierarchical.hier_intra_bcast_bytes(
+                self.cluster, sum(wire), groups, op_label=f"{kind}_hier")
+        combined = combine_sparse([decode(p) for p in payloads],
+                                  impl=self.config.accum_impl)
         total_rows = dropped + kept
-        sparsity = dropped / total_rows if total_rows else 0.0
-        return combined, sparsity
+        return combined, dropped / total_rows if total_rows else 0.0
 
     def _rank_split(self, split) -> RankingResult:
         """Filtered-ranking evaluation of one split, wall-clock timed."""
@@ -766,6 +701,7 @@ class DistributedTrainer:
                      else cfg.ss_warmup_epochs)
         ss_active = epoch > ss_warmup
         mode = self._epoch_mode(epoch)
+        sparse_wire = self._sparse_wire(mode)
         epoch_start = self.cluster.elapsed
         comm_before = self.cluster.stats.time_total
         bytes_before = self.cluster.stats.nbytes_total
@@ -792,11 +728,7 @@ class DistributedTrainer:
 
             # Entity gradients always travel; drop numerically-zero rows
             # whenever the wire format is sparse (the baseline's sparse
-            # updates): every allgather step, and hierarchical steps whose
-            # hop boundary re-quantizes — a dense hierarchical step carries
-            # the full matrix just like allreduce.
-            sparse_wire = mode == "allgather" or (
-                mode == "hierarchical" and strategy.quantization_bits > 0)
+            # updates) — a dense step carries the full matrix anyway.
             entity_parts = [
                 o.entity_grad.select(
                     np.linalg.norm(o.entity_grad.values, axis=1) > zero_tol)
