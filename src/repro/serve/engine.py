@@ -306,6 +306,14 @@ class QueryEngine:
         results: list = [None] * len(queries)
         # (direction, route) -> ({anchor * n_rel + rel: row}, [(query, row)])
         passes: dict[tuple[bool, str], tuple[dict, list]] = {}
+        # Stats records and cache writes wait until every pass has
+        # returned, so a batch that raises part-way counts none of its
+        # queries and a caller retrying them one by one counts each once.
+        records: list[tuple] = []
+        puts: list[tuple] = []
+
+        def record(*args) -> None:
+            records.append(args)
 
         for i, (anchor, rel, side) in enumerate(zip(anchors, rels,
                                                     map(bool, sides))):
@@ -316,7 +324,7 @@ class QueryEngine:
                 admission = self.resilience.admit(kind)
                 if admission.state == "shed":
                     results[i] = self._shed(kind, "overload", admission,
-                                            start)
+                                            start, record)
                     continue
             route = self._route(admission.state if admission else None)
             key = (self._key_for(route), "tails" if side else "heads",
@@ -324,16 +332,15 @@ class QueryEngine:
             hit = self.cache.get(key)
             if hit is not None:
                 results[i] = hit
-                self.stats.record(kind, time.perf_counter() - start,
-                                  cache_hit=True)
+                record(kind, time.perf_counter() - start, True)
                 if admission is not None:
                     self._complete(admission, self.slo.cache_ms)
             elif admission is not None and admission.state == "cache_only":
                 results[i] = self._shed(kind, "cache_only_miss", admission,
-                                        start)
+                                        start, record)
             elif admission is not None and admission.scorer_fail:
                 results[i] = self._shed(kind, "scorer_failure", admission,
-                                        start)
+                                        start, record)
             else:
                 if admission is not None:
                     # Virtual cost is charged at admission (the route and
@@ -356,9 +363,13 @@ class QueryEngine:
                                else ("topk_heads", "heads"))
             for i, u in members:
                 results[i] = scored[u]
-                self.cache.put((tier_key, direction, anchors[i], rels[i], k,
-                                filt), scored[u])
-                self.stats.record(kind, share, cache_hit=False)
+                puts.append(((tier_key, direction, anchors[i], rels[i], k,
+                              filt), scored[u]))
+                record(kind, share, False)
+        for key, value in puts:
+            self.cache.put(key, value)
+        for args in records:
+            self.stats.record(*args)
         return results
 
     def _group_topk(self, route: str, anchors: np.ndarray, rels: np.ndarray,
@@ -557,13 +568,16 @@ class QueryEngine:
     def _key_for(self, route: str):
         return "dense" if route == "dense" else ("binary", self.rerank_k)
 
-    def _shed(self, kind: str, reason: str, admission, start: float):
+    def _shed(self, kind: str, reason: str, admission, start: float,
+              record=None):
         """Refuse one query: typed response, taxonomy counted, virtual
-        shed cost charged (shedding is cheap, not free)."""
+        shed cost charged (shedding is cheap, not free).  ``record``
+        stands in for ``stats.record`` when the caller defers its records."""
         response = ShedResponse(kind=kind, reason=reason,
                                 state=admission.state,
                                 query_index=admission.index)
-        self.stats.record(kind, time.perf_counter() - start, cache_hit=None)
+        (record or self.stats.record)(kind, time.perf_counter() - start,
+                                      None)
         virtual = self.resilience.complete(admission, self.slo.shed_ms)
         self.stats.record_resilience(admission.state, virtual,
                                      shed_reason=reason)

@@ -219,11 +219,16 @@ class TestReplay:
             assert np.array_equal(ra.entities, rb.entities)
             assert ra.scores.tobytes() == rb.scores.tobytes()
 
-    def test_per_query_errors_are_counted_not_fatal(self, monkeypatch):
+    @pytest.mark.parametrize("poisoned_tails", [True, False],
+                             ids=["tails", "heads"])
+    def test_per_query_errors_are_counted_not_fatal(self, monkeypatch,
+                                                    poisoned_tails):
         """Satellite: one poisoned query must not kill the replay.  A
-        scorer that blows up on any pass holding one relation loses
-        exactly that relation's top-k queries — counted, first detail
-        kept — while every window-mate is still served."""
+        scorer that blows up on any pass of one direction holding one
+        relation loses exactly those top-k queries — counted, first
+        detail kept — while every window-mate is still served, and
+        counted exactly once even when another pass of its batch had
+        already been scored when the batch failed."""
         dataset = make_tiny_kg(seed=31)
         model = ComplEx(dataset.n_entities, dataset.n_relations, 8, seed=31)
         engine = QueryEngine(EmbeddingStore.from_model(model,
@@ -232,7 +237,7 @@ class TestReplay:
         real = engine._group_topk_dense
 
         def flaky(anchors, rels, side, k, filt):
-            if np.any(rels == 1):
+            if side == poisoned_tails and np.any(rels == 1):
                 raise RuntimeError("injected scorer fault on relation 1")
             return real(anchors, rels, side, k, filt)
 
@@ -244,17 +249,18 @@ class TestReplay:
         mirror = ZipfianTraffic(dataset.n_entities, dataset.n_relations,
                                  seed=31)
         queries = np.concatenate(list(mirror.batches(600, 50)))
+        kind = KIND_TAILS if poisoned_tails else KIND_HEADS
         poisoned = int(((queries["relation"] == 1) &
-                        ((queries["kind"] == KIND_TAILS) |
-                         (queries["kind"] == KIND_HEADS))).sum())
+                        (queries["kind"] == kind)).sum())
         assert poisoned > 0
         assert snap["errors"] == poisoned
         assert snap["first_error"]["error"] == "RuntimeError"
         assert "relation 1" in snap["first_error"]["detail"]
-        assert snap["first_error"]["kind"] in ("topk_tails", "topk_heads")
+        assert snap["first_error"]["kind"] == (
+            "topk_tails" if poisoned_tails else "topk_heads")
         assert snap["first_error"]["query"][1] == 1
-        # Window-mates survived: the healthy relations still answer.
-        assert snap["n_queries"] >= 600 - poisoned
+        # Window-mates survived, each counted once.
+        assert snap["n_queries"] == 600 - poisoned
         assert len(engine.topk_tails(0, 0, k=5)) == 5
 
     def test_clean_replay_reports_zero_errors(self):
